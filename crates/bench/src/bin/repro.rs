@@ -6,26 +6,28 @@
 //! ```
 //!
 //! With `--perf-json <path>` it instead runs the offline **perf smoke**:
-//! the Table 3 workloads through the full pipeline under every
-//! verification backend (scalar, bit-parallel, wide-lane),
-//! verify-phase microbenchmarks across all three backends, and — since
-//! PR 4 — a **solver phase**: every registered ATSP backend over
-//! deterministic instances and pipeline workloads, with per-solver
-//! tour-cost and latency columns. Written as a JSON record (the
-//! benchmark trajectory, `BENCH_pr10.json`). The process exits
-//! non-zero if the bit-parallel verifier is slower than twice the
-//! scalar time on any pair-fault workload (2x noise margin over the
-//! ~10x measured advantage), if the wide-lane verifier is slower than
-//! 1.5x the bit-parallel time on any pair-fault workload (noise margin
-//! over the measured multi-batch win), if the verification backends
-//! ever disagree on a coverage report, or if the local-search solver
-//! misses the exact optimum on an exact-range instance.
+//! the Table 3 workloads through the full pipeline under both
+//! verification backends (scalar, auto = packed), verify-phase
+//! microbenchmarks comparing the scalar engine with the packed engine
+//! pinned to one word (W = 1) and at its auto-chosen width, and a
+//! **solver phase**: every registered ATSP backend over deterministic
+//! instances and pipeline workloads, with per-solver tour-cost and
+//! latency columns. Written as a JSON record (the benchmark trajectory,
+//! `BENCH_pr10.json`; the W = 1 column keeps the `bitsim_*` keys of the
+//! 64-lane engine it replaced, so records stay comparable). The process
+//! exits non-zero if the W = 1 sweep is slower than twice the scalar
+//! time on any pair-fault workload (2x noise margin over the ~10x
+//! measured advantage), if the auto-width sweep is slower than 1.5x the
+//! W = 1 time on any pair-fault workload (noise margin over the
+//! measured multi-block win), if the sweeps ever disagree on a coverage
+//! report, or if the local-search solver misses the exact optimum on an
+//! exact-range instance.
 //!
 //! ```sh
 //! cargo run --release -p marchgen-bench --bin repro -- --perf-json BENCH_pr10.json
 //! ```
 
-use marchgen_bench::{row_models, section4_tps, TABLE3};
+use marchgen_bench::{random_atsp, row_models, section4_tps, TABLE3};
 use marchgen_faults::{bfe, catalog, parse_fault_list, FaultModel, TransitionDir};
 use marchgen_generator::{
     baseline, generate, gts::Gts, schedule_tour, GenerateRequest, Generator, VerifierChoice,
@@ -36,7 +38,7 @@ use marchgen_model::{Bit, TwoCellMachine};
 use marchgen_sim::coverage::covers_all;
 use marchgen_sim::matrix::CoverageMatrix;
 use marchgen_sim::verify::Verifier;
-use marchgen_sim::{BitSimVerifier, SimVerifier, WideSimVerifier};
+use marchgen_sim::{widesim, SimVerifier, WideSimVerifier};
 use marchgen_tpg::{plan_tour, StartPolicy, Tpg};
 use std::process::ExitCode;
 use std::time::Instant;
@@ -57,7 +59,7 @@ fn main() -> ExitCode {
     ExitCode::SUCCESS
 }
 
-// ---- perf smoke (scalar vs bit-parallel verification) ------------------
+// ---- perf smoke (scalar vs packed verification) ------------------------
 
 /// Best-of-`reps` wall-clock of `f`, in µs.
 fn best_micros(reps: usize, mut f: impl FnMut()) -> u64 {
@@ -72,24 +74,23 @@ fn best_micros(reps: usize, mut f: impl FnMut()) -> u64 {
 }
 
 /// One verify-phase microbenchmark: full coverage sweep of `test` over
-/// `faults` on `cells` memory cells, scalar vs bit-parallel vs
-/// wide-lane.
+/// `faults` on `cells` memory cells, scalar vs packed at W = 1 vs packed
+/// at the auto-chosen width.
 fn verify_case(label: &str, faults: &str, cells: usize, test: &MarchTest) -> (Json, bool) {
     let models = parse_fault_list(faults).expect("perf workloads parse");
     let pair_fault = models.iter().any(FaultModel::is_pair_fault);
     let scalar = SimVerifier::new(cells);
-    let packed = BitSimVerifier::new(cells);
     let wide = WideSimVerifier::new(cells);
     let scalar_report = scalar.verify(test, &models);
-    let packed_report = packed.verify(test, &models);
+    let one_word_report = widesim::coverage_report_w::<1>(test, &models, cells);
     let wide_report = wide.verify(test, &models);
-    let agree = scalar_report == packed_report && scalar_report == wide_report;
+    let agree = scalar_report == one_word_report && scalar_report == wide_report;
     let reps = 5;
     let scalar_micros = best_micros(reps, || {
         let _ = scalar.verify(test, &models);
     });
     let bitsim_micros = best_micros(reps, || {
-        let _ = packed.verify(test, &models);
+        let _ = widesim::coverage_report_w::<1>(test, &models, cells);
     });
     let wide_micros = best_micros(reps, || {
         let _ = wide.verify(test, &models);
@@ -98,16 +99,16 @@ fn verify_case(label: &str, faults: &str, cells: usize, test: &MarchTest) -> (Js
     let wide_speedup = scalar_micros as f64 / wide_micros.max(1) as f64;
     let wide_vs_bitsim = bitsim_micros as f64 / wide_micros.max(1) as f64;
     // The regression gates leave a safety factor over the raw
-    // wall-clock comparison: bitsim-vs-scalar runs ~10x, so a 2x
-    // margin still trips on a real regression while scheduler noise on
-    // a shared CI runner does not; wide-vs-bitsim runs ~2-4x on the
-    // multi-batch pair-fault rows, so it gets a tighter 1.5x margin.
+    // wall-clock comparison: W = 1 vs scalar runs ~10x, so a 2x margin
+    // still trips on a real regression while scheduler noise on a
+    // shared CI runner does not; auto width vs W = 1 runs ~2-4x on the
+    // multi-block pair-fault rows, so it gets a tighter 1.5x margin.
     let ok = agree
         && (!pair_fault
             || (bitsim_micros <= scalar_micros.saturating_mul(2)
                 && wide_micros.saturating_mul(2) <= bitsim_micros.saturating_mul(3)));
     println!(
-        "  {label:<34} scalar {scalar_micros:>9} µs | bitsim {bitsim_micros:>8} µs ({speedup:>5.1}x) | wide {wide_micros:>8} µs ({wide_speedup:>5.1}x, {wide_vs_bitsim:>4.1}x vs bitsim)  agree={agree}"
+        "  {label:<34} scalar {scalar_micros:>9} µs | W=1 {bitsim_micros:>8} µs ({speedup:>5.1}x) | auto {wide_micros:>8} µs ({wide_speedup:>5.1}x, {wide_vs_bitsim:>4.1}x vs W=1)  agree={agree}"
     );
     let entry = Json::object([
         ("label", Json::from(label)),
@@ -126,17 +127,6 @@ fn verify_case(label: &str, faults: &str, cells: usize, test: &MarchTest) -> (Js
     (entry, ok)
 }
 
-/// Deterministic xorshift instance for the solver sweeps.
-fn solver_bench_instance(n: usize, seed: u64) -> marchgen_atsp::AtspInstance {
-    let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
-    marchgen_atsp::AtspInstance::from_fn(n, |_, _| {
-        state ^= state << 13;
-        state ^= state >> 7;
-        state ^= state << 17;
-        state % 100
-    })
-}
-
 /// The ATSP solver sweep: every registered backend over deterministic
 /// instances spanning the exact range (n = 12), the branch-and-bound
 /// range (n = 30) and the local-search range (n = 48). Emits
@@ -149,7 +139,7 @@ fn solver_sweep(rows: &mut Vec<Json>) -> bool {
     let registry = SolverRegistry::default();
     println!("== perf smoke: ATSP solver sweep (cost | latency) ============");
     for (n, seed) in [(12usize, 7u64), (30, 11), (48, 23)] {
-        let inst = solver_bench_instance(n, seed);
+        let inst = random_atsp(n, seed);
         // Exact reference where an exact backend is in range (the same
         // thresholds the auto policy dispatches on).
         let exact_cost = (n <= marchgen_atsp::EXACT_THRESHOLD).then(|| {
@@ -267,13 +257,13 @@ fn solver_pipeline_sweep(rows: &mut Vec<Json>) -> bool {
 }
 
 /// The offline perf smoke: per-phase pipeline timings on the Table 3
-/// workloads under all three verification backends, verify-phase
+/// workloads under both verification backends, verify-phase
 /// microbenchmarks (including the pair-fault CFin+CFid+CFst sweep at 8
 /// cells), and the per-solver cost/latency sweeps. Writes the record to
-/// `path`; non-zero exit when bit-parallel exceeds twice the scalar
-/// time on a pair-fault workload (2x noise margin), wide-lane exceeds
-/// 1.5x the bit-parallel time on a pair-fault workload, the
-/// verification backends disagree, or a solver misses its cost gate.
+/// `path`; non-zero exit when the W = 1 sweep exceeds twice the scalar
+/// time on a pair-fault workload (2x noise margin), the auto-width
+/// sweep exceeds 1.5x the W = 1 time on a pair-fault workload, the
+/// sweeps disagree, or a solver misses its cost gate.
 fn perf_smoke(path: &str) -> ExitCode {
     let mut ok = true;
 
@@ -284,8 +274,7 @@ fn perf_smoke(path: &str) -> ExitCode {
         let pair_fault = models.iter().any(FaultModel::is_pair_fault);
         for (backend, choice) in [
             ("scalar", VerifierChoice::Scalar),
-            ("bitsim", VerifierChoice::BitParallel),
-            ("wide", VerifierChoice::Wide),
+            ("auto", VerifierChoice::Auto),
         ] {
             let request = GenerateRequest::new(models.clone()).with_verifier(choice);
             let started = Instant::now();
@@ -324,7 +313,7 @@ fn perf_smoke(path: &str) -> ExitCode {
         }
     }
 
-    println!("== perf smoke: verify-phase sweeps, scalar vs bitsim vs wide =");
+    println!("== perf smoke: verify-phase sweeps, scalar vs W=1 vs auto ===");
     let mut verify_rows = Vec::new();
     let march_c = known::march_c_minus();
     let march_ss = known::march_ss();
@@ -388,8 +377,8 @@ fn perf_smoke(path: &str) -> ExitCode {
         ExitCode::SUCCESS
     } else {
         eprintln!(
-            "error: a perf gate failed — bit-parallel verify over 2x scalar or wide verify \
-             over 1.5x bit-parallel on a pair-fault workload, verifier reports disagreed, \
+            "error: a perf gate failed — W=1 verify over 2x scalar or auto-width verify \
+             over 1.5x W=1 on a pair-fault workload, verifier reports disagreed, \
              or a solver missed its cost gate"
         );
         ExitCode::FAILURE

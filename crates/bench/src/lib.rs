@@ -1,7 +1,7 @@
 //! # marchgen-bench
 //!
-//! Shared workloads for the benchmark harness that regenerates every
-//! table and figure of the paper (see `benches/` and the `repro` binary).
+//! Shared workloads for the `repro` binary, which regenerates every
+//! table and figure of the paper and runs the offline perf smoke.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -91,7 +91,7 @@ pub fn section4_tps() -> Vec<TestPattern> {
 }
 
 /// A deterministic pseudo-random ATSP instance (xorshift-based) for the
-/// solver benchmarks.
+/// solver sweeps of the perf smoke.
 #[must_use]
 pub fn random_atsp(n: usize, seed: u64) -> AtspInstance {
     let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;

@@ -378,6 +378,87 @@ mod tests {
         assert_eq!(snapshot.requests, 2, "the rejected connection never ran");
     }
 
+    /// Reads one response off a keep-alive connection (buffered or
+    /// chunked) and returns its lowercased `connection` header value.
+    fn read_connection_header(reader: &mut impl std::io::BufRead) -> String {
+        let mut connection = String::new();
+        let mut length = None;
+        let mut chunked = false;
+        loop {
+            let mut line = String::new();
+            assert!(reader.read_line(&mut line).unwrap() > 0, "early EOF");
+            let line = line.trim_end().to_ascii_lowercase();
+            if line.is_empty() {
+                break;
+            }
+            if let Some(value) = line.strip_prefix("connection: ") {
+                connection = value.to_owned();
+            } else if let Some(value) = line.strip_prefix("content-length: ") {
+                length = Some(value.parse::<usize>().unwrap());
+            } else if line == "transfer-encoding: chunked" {
+                chunked = true;
+            }
+        }
+        if chunked {
+            loop {
+                let mut size = String::new();
+                reader.read_line(&mut size).unwrap();
+                let size = usize::from_str_radix(size.trim_end(), 16).unwrap();
+                let mut chunk = vec![0u8; size + 2];
+                reader.read_exact(&mut chunk).unwrap();
+                if size == 0 {
+                    break;
+                }
+            }
+        } else {
+            reader
+                .read_exact(&mut vec![0u8; length.expect("content-length")])
+                .unwrap();
+        }
+        connection
+    }
+
+    /// The keep-alive cap is announced: the last answer a connection
+    /// gets — buffered or streamed — carries `Connection: close`, every
+    /// earlier one `keep-alive`, and the server then closes.
+    #[test]
+    fn keepalive_cap_announces_the_close_on_the_last_answer() {
+        let server = Server::bind(
+            "127.0.0.1:0",
+            ServerConfig {
+                workers: 1,
+                ..ServerConfig::default()
+            },
+            mixed_handler,
+        )
+        .unwrap();
+        let addr = server.local_addr().unwrap();
+        let signal = server.shutdown_signal();
+        let handle = std::thread::spawn(move || server.run());
+        let cap = server::MAX_KEEPALIVE_REQUESTS;
+        for last_path in ["/full", "/stream"] {
+            let mut stream = TcpStream::connect(addr).unwrap();
+            stream
+                .set_read_timeout(Some(Duration::from_secs(10)))
+                .unwrap();
+            let mut reader = std::io::BufReader::new(stream.try_clone().unwrap());
+            for answer in 1..=cap {
+                let path = if answer == cap { last_path } else { "/full" };
+                stream
+                    .write_all(format!("GET {path} HTTP/1.1\r\n\r\n").as_bytes())
+                    .unwrap();
+                let connection = read_connection_header(&mut reader);
+                let expected = if answer == cap { "close" } else { "keep-alive" };
+                assert_eq!(connection, expected, "answer {answer} via {path}");
+            }
+            let mut rest = Vec::new();
+            reader.read_to_end(&mut rest).unwrap();
+            assert!(rest.is_empty(), "the server closes after the cap");
+        }
+        signal.trigger();
+        handle.join().unwrap();
+    }
+
     #[test]
     fn stats_count_requests_and_protocol_errors() {
         let (addr, signal, handle) = start();

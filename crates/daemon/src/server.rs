@@ -29,8 +29,8 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 /// Most requests served on one keep-alive connection before it is
-/// recycled.
-const MAX_KEEPALIVE_REQUESTS: usize = 1024;
+/// recycled; the last answer carries `Connection: close`.
+pub(crate) const MAX_KEEPALIVE_REQUESTS: usize = 1024;
 /// Accept-loop poll interval while idle or draining.
 const ACCEPT_POLL: Duration = Duration::from_millis(5);
 /// Most rejected connections queued for the reject drainer; beyond it
@@ -491,7 +491,7 @@ fn warn_slow_request(
 }
 
 /// Serves one connection keep-alive until close, error, idle timeout or
-/// the keep-alive cap.
+/// the keep-alive cap, whose last answer announces the close.
 ///
 /// Between requests the worker polls in short slices so a graceful
 /// shutdown is noticed within [`ACCEPT_POLL`]-scale latency even while
@@ -525,7 +525,8 @@ fn serve_connection(
     };
     let mut reader = BufReader::new(read_half);
     let mut writer = stream;
-    for _ in 0..MAX_KEEPALIVE_REQUESTS {
+    for served in 1..=MAX_KEEPALIVE_REQUESTS {
+        let last = served == MAX_KEEPALIVE_REQUESTS;
         // ---- idle wait at the request boundary ---------------------
         let _ = writer.set_read_timeout(Some(boundary_poll));
         let mut idle = Duration::ZERO;
@@ -608,9 +609,10 @@ fn serve_connection(
         };
         match reply {
             Reply::Full(mut response) => {
-                // Honor the client's `Connection: close` in the
-                // advertised header, not just in behaviour.
-                response.close = response.close || request.wants_close();
+                // Honor the client's `Connection: close` and the
+                // keep-alive cap in the advertised header, not just in
+                // behaviour.
+                response.close = response.close || request.wants_close() || last;
                 if response.request_id.is_none() {
                     response.request_id = Some(request.request_id.clone());
                 }
@@ -642,7 +644,7 @@ fn serve_connection(
             Reply::Stream(mut stream_response) => {
                 stats.stream_begin();
                 let _active = StreamGuard(stats);
-                stream_response.close = stream_response.close || request.wants_close();
+                stream_response.close = stream_response.close || request.wants_close() || last;
                 if stream_response.request_id.is_none() {
                     stream_response.request_id = Some(request.request_id.clone());
                 }

@@ -10,7 +10,7 @@
 //!   the lowering-equivalence suite and the Table 3 goldens).
 //! * **simulation side** — [`behavior`] maps the model to a declarative
 //!   [`FaultBehavior`] rule table; the scalar `FaultyMemory` and the
-//!   bit-parallel `bitsim::LaneBatch` are generic interpreters over it.
+//!   packed `widesim::WideBatch` are generic interpreters over it.
 //!
 //! [`machines`] additionally provides the paper's two-cell Mealy-machine
 //! view (Figure 2) for the BFE derivation; dynamic faults, whose effect

@@ -75,9 +75,10 @@ pub struct Diagnostics {
     pub shard_micros: Vec<u64>,
     /// The verification backend the run resolved its
     /// [`VerifierChoice`](crate::VerifierChoice) to (the trait name:
-    /// `"simulator"`, `"bitsim"`, `"widesim"`). Empty when verification
-    /// was disabled (`verify_cells == 0`) or on documents predating the
-    /// verifier diagnostics.
+    /// `"simulator"` or `"widesim"`; documents written before the packed
+    /// engines merged may also carry `"bitsim"`). Empty when
+    /// verification was disabled (`verify_cells == 0`) or on documents
+    /// predating the verifier diagnostics.
     pub verifier: String,
     /// Per-shard verify times, µs: one entry per verification shard of
     /// each coverage sweep the pipeline ran (candidate screening plus

@@ -371,8 +371,8 @@ impl FromJson for GenerateRequest {
             ),
         };
         // `verifier` is optional and backward compatible: schema v1
-        // documents written before the bit-parallel backend existed
-        // simply omit it and get the auto choice.
+        // documents written before the packed backends existed omit it,
+        // and the retired backend names decode as aliases of `auto`.
         let verifier = match json.get("verifier") {
             None => defaults.verifier,
             Some(v) => v
@@ -380,7 +380,7 @@ impl FromJson for GenerateRequest {
                 .and_then(VerifierChoice::from_key)
                 .ok_or_else(|| {
                     JsonError::decode(
-                        "field \"verifier\" must be \"auto\", \"scalar\", \"bitsim\" or \"wide\"",
+                        "field \"verifier\" must be \"auto\" or \"scalar\" (aliases \"bitsim\", \"wide\")",
                     )
                 })?,
         };
@@ -637,30 +637,35 @@ mod tests {
             .with_compact(false)
             .with_check_redundancy(true)
             .with_max_combinations(99)
-            .with_verifier(VerifierChoice::BitParallel)
+            .with_verifier(VerifierChoice::Scalar)
             .with_search_threads(3);
         let text = request.to_json_string();
         let back = GenerateRequest::from_json_str(&text).unwrap();
         assert_eq!(back, request);
     }
 
-    /// The `verifier` key is optional (pre-bitsim schema v1 documents
-    /// omit it) and validated when present.
+    /// The `verifier` key is optional (early schema v1 documents omit
+    /// it) and validated when present; the retired backend names
+    /// `"bitsim"` and `"wide"` decode to `auto`.
     #[test]
     fn verifier_key_is_optional_and_checked() {
         let back = GenerateRequest::from_json_str(r#"{"faults": ["SAF"]}"#).unwrap();
         assert_eq!(back.verifier, VerifierChoice::Auto);
         assert_eq!(back.search_threads, 0);
-        let back =
-            GenerateRequest::from_json_str(r#"{"faults": ["SAF"], "verifier": "scalar"}"#).unwrap();
-        assert_eq!(back.verifier, VerifierChoice::Scalar);
-        let back =
-            GenerateRequest::from_json_str(r#"{"faults": ["SAF"], "verifier": "wide"}"#).unwrap();
-        assert_eq!(back.verifier, VerifierChoice::Wide);
-        assert!(
-            GenerateRequest::from_json_str(r#"{"faults": ["SAF"], "verifier": "quantum"}"#)
-                .is_err()
-        );
+        for (key, expected) in [
+            ("auto", VerifierChoice::Auto),
+            ("scalar", VerifierChoice::Scalar),
+            ("bitsim", VerifierChoice::Auto),
+            ("wide", VerifierChoice::Auto),
+        ] {
+            let doc = format!(r#"{{"faults": ["SAF"], "verifier": "{key}"}}"#);
+            let back = GenerateRequest::from_json_str(&doc).unwrap();
+            assert_eq!(back.verifier, expected, "{key}");
+        }
+        for bad in [r#""quantum""#, r#""widesim""#, "7"] {
+            let doc = format!(r#"{{"faults": ["SAF"], "verifier": {bad}}}"#);
+            assert!(GenerateRequest::from_json_str(&doc).is_err(), "{bad}");
+        }
     }
 
     /// Outcomes predating the sharded search decode with empty shard

@@ -20,13 +20,14 @@
 //!   mismatching read (guaranteed detection),
 //! * [`coverage`] — per-model site sweeps (`n·(n−1)` ordered pairs for
 //!   coupling faults) and aggregated reports,
-//! * [`bitsim`] — the bit-parallel sweep: up to 64 scenario lanes packed
-//!   into one `u64` per memory word, exact-agreement verified against
-//!   the scalar engine and exposed as [`BitSimVerifier`],
-//! * [`widesim`] — the wide-lane sweep: `[u64; W]` lane blocks (W ∈
-//!   {2,4,8}, auto-vectorized) carrying 128–512 scenario lanes per
-//!   memory word, plus the deterministic shard plan behind the
-//!   thread-fanned [`WideSimVerifier`],
+//! * [`widesim`] — the packed sweep: `[u64; W]` lane blocks (W ∈
+//!   {1,2,4,8}, auto-vectorized) carrying 64–512 scenario lanes per
+//!   memory word, exact-agreement verified against the scalar engine,
+//!   plus the deterministic shard plan behind the thread-fanned
+//!   [`WideSimVerifier`],
+//! * [`verify`] — the [`Verifier`] trait and its two backends,
+//! * [`pool`] — [`run_indexed`], the scoped worker pool shared by the
+//!   sharded search, sharded verification and the batch service,
 //! * [`matrix`] — the Coverage Matrix over elementary blocks (Section 6),
 //! * [`set_cover`] — exact set covering over the matrix: the paper's
 //!   non-redundancy proof,
@@ -48,13 +49,13 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod bitsim;
 pub mod coverage;
 pub mod diagnosis;
 pub mod engine;
 pub mod linked;
 pub mod matrix;
 pub mod memory;
+pub mod pool;
 pub mod redundancy;
 pub mod set_cover;
 pub mod verify;
@@ -64,4 +65,5 @@ pub use coverage::{coverage_report, covers_all, CoverageReport, ModelCoverage};
 pub use engine::{detects, FaultSite};
 pub use matrix::CoverageMatrix;
 pub use memory::SiteCells;
-pub use verify::{BitSimVerifier, SimVerifier, Verifier, VerifyRun, WideSimVerifier};
+pub use pool::run_indexed;
+pub use verify::{SimVerifier, Verifier, VerifyRun, WideSimVerifier};

@@ -1,35 +1,41 @@
-//! Wide-lane fault simulation: **W × 64 scenario lanes per memory
-//! word**, with W ∈ {2, 4, 8} picked at runtime from the scenario count.
+//! Packed fault simulation: **W × 64 scenario lanes per memory word**,
+//! with W ∈ {1, 2, 4, 8} picked at runtime from the scenario count.
 //!
-//! # Why wider than [`crate::bitsim`]
+//! # Lane-packing layout
 //!
-//! The 64-lane engine already transposes the scalar scenario sweep into
-//! bitwise formulas, but a pair-fault model on an 8-cell memory is
-//! 56 sites × 8 power-up patterns = 448 scenario lanes — seven separate
-//! 64-lane batches, each re-running the full March control flow and the
-//! per-rule interpreter loop. This module generalizes the same
-//! per-address mask layout to `[u64; W]` **lane words**: one March
-//! execution advances up to 512 scenarios, and the rule-table overhead
-//! (shared control flow, rule dispatch, address iteration) is amortized
-//! over W machine words at a time. All lane-word operations are written
-//! as straight-line per-word loops over fixed-size arrays, which the
-//! compiler auto-vectorizes to SSE2/AVX2 — std only, no nightly
-//! `portable_simd`.
+//! The scalar engine ([`crate::engine`]) simulates one *scenario* at a
+//! time: a concrete fault site × power-up pattern × sense-latch value,
+//! re-executed for every `⇕` resolution vector. For a pair-fault model on
+//! an 8-cell memory that is 56 sites × 8 power-up patterns = 448
+//! scenarios per resolution, each touching one bit of state per cell.
 //!
-//! # Layout and semantics
+//! This module transposes that sweep. The memory is one `[u64; W]`
+//! **lane word** per cell address; lane `l` of a block is bit `l % 64`
+//! of word `l / 64`, and **lane `l` of word `a` is the value cell `a`
+//! holds in scenario `l`**. All lanes share the same fault *model* but
+//! each carries its own site placement (single cell, or
+//! aggressor/victim pair), power-up pattern and sense-amplifier latch
+//! value (stuck-open only). Lanes are enumerated site-major, then
+//! power-up pattern, then latch value — the scalar engine's scenario
+//! order. Site placement is precompiled into per-address masks, so every
+//! faulty read/write is a handful of AND/OR/XOR lane-word operations;
+//! address order is shared control flow, so `⇕` resolution vectors stay
+//! an outer loop, exactly mirroring the scalar enumeration.
 //!
-//! Identical to [`crate::bitsim`], word-for-word: lane `l` of a block is
-//! bit `l % 64` of word `l / 64`; lanes are enumerated site-major, then
-//! power-up pattern, then latch value (the scalar engine's scenario
-//! order, shared via [`crate::bitsim`]'s lane enumeration); fault
-//! semantics are a generic interpretation of the model's
+//! Fault semantics are a generic interpretation of the model's
 //! [`FaultBehavior`] rule table with **no per-variant matches** (the
-//! `fault-layer-lint` CI job keeps it that way); a site is **detected**
-//! only when every one of its lanes mismatches under every `⇕`
-//! resolution vector.
+//! `fault-layer-lint` CI job keeps it that way). Every read ORs
+//! `out ^ expected` into a mismatch accumulator, and a site counts as
+//! **detected** only when every one of its lanes mismatches under every
+//! `⇕` resolution — the guaranteed-detection rule of
+//! [`crate::engine::detects`], verified lane-for-lane by the
+//! differential suite.
 //!
-//! The width is chosen per sweep by [`width_for`]: ≤ 128 lanes run at
-//! W = 2, ≤ 256 at W = 4, everything larger at W = 8 — so small
+//! All lane-word operations are straight-line per-word loops over
+//! fixed-size arrays, which the compiler auto-vectorizes to SSE2/AVX2 —
+//! std only, no nightly `portable_simd`. The width is chosen per sweep
+//! by [`width_for`]: ≤ 64 lanes run at W = 1 (one plain `u64`), ≤ 128
+//! at W = 2, ≤ 256 at W = 4, everything larger at W = 8 — so small
 //! workloads don't drag padding words through the interpreter.
 //!
 //! # Sharded verification
@@ -43,7 +49,6 @@
 //! `Diagnostics` has a reproducible length and the merged report is
 //! byte-identical at any parallelism.
 
-use crate::bitsim::{lanes_for, Lane};
 use crate::coverage::{CoverageReport, ModelCoverage};
 use crate::engine::{latch_values, power_up_patterns, resolution_vectors, FaultSite};
 use crate::memory::SiteCells;
@@ -56,6 +61,38 @@ use std::ops::{BitAnd, BitAndAssign, BitOr, BitOrAssign, BitXor, BitXorAssign, N
 
 /// Target scenario lanes per verification shard: one full-width block.
 const SHARD_LANES: usize = 64 * 8;
+
+/// One scenario lane: which site it simulates and its power-up state.
+#[derive(Debug, Clone)]
+struct Lane {
+    /// Index into the site list the sweep runs over.
+    site_index: usize,
+    /// Site placement (drives the address masks).
+    cells: SiteCells,
+    /// Power-up pattern of the whole array.
+    pattern: Vec<Bit>,
+    /// Sense-amplifier latch power-up value.
+    latch: Bit,
+}
+
+/// Every scenario lane of a site sweep, in the scalar engine's
+/// enumeration order (site-major, then pattern, then latch).
+fn lanes_for(sites: &[FaultSite], n: usize) -> Vec<Lane> {
+    let mut lanes = Vec::new();
+    for (site_index, site) in sites.iter().enumerate() {
+        for pattern in power_up_patterns(site, n) {
+            for &latch in latch_values(site) {
+                lanes.push(Lane {
+                    site_index,
+                    cells: site.cells,
+                    pattern: pattern.clone(),
+                    latch,
+                });
+            }
+        }
+    }
+    lanes
+}
 
 /// A `W`-word block of scenario lanes: lane `l` is bit `l % 64` of word
 /// `l / 64`. All operations are per-word loops over the fixed-size
@@ -167,10 +204,10 @@ impl<const W: usize> BitXorAssign for LaneWord<W> {
 }
 
 /// A packed batch of up to `W × 64` scenario lanes sharing one fault
-/// model — [`crate::bitsim`]'s `LaneBatch` with every `u64` widened to a
-/// [`LaneWord`]. Like it, the batch is a generic interpreter over the
-/// model's [`FaultBehavior`] rule table: fault semantics are lane-word
-/// formulas derived from the rules, with no per-variant matches.
+/// model. Like the scalar `FaultyMemory`, the batch is a generic
+/// interpreter over the model's [`FaultBehavior`] rule table: fault
+/// semantics are lane-word formulas derived from the rules, with no
+/// per-variant matches.
 struct WideBatch<const W: usize> {
     n: usize,
     behavior: FaultBehavior,
@@ -190,8 +227,10 @@ struct WideBatch<const W: usize> {
     // Execution state.
     cells: Vec<LaneWord<W>>,
     latch: LaneWord<W>,
-    /// Operation history for dynamic faults: shared control flow, so one
-    /// scalar slot serves every lane (see `LaneBatch::last_write`).
+    /// Operation history for dynamic faults: the immediately preceding
+    /// operation, when it was a write (address, value). Shared control
+    /// flow — every lane sees the same op stream, so one scalar slot
+    /// serves every lane.
     last_write: Option<(usize, Bit)>,
     mismatch: LaneWord<W>,
 }
@@ -282,8 +321,9 @@ impl<const W: usize> WideBatch<W> {
         self.mismatch = LaneWord::<W>::ZERO;
     }
 
-    /// State coupling is a *condition*, not an event: enforce the
-    /// behaviour's invariant after every operation, lane-wise.
+    /// State coupling is a *condition*, not an event (see
+    /// `FaultyMemory`): enforce the behaviour's invariant after every
+    /// operation, lane-wise.
     fn apply_invariant(&mut self) {
         if let Some(inv) = self.behavior.invariant {
             let mut cond = LaneWord::<W>::ZERO;
@@ -543,17 +583,16 @@ fn sweep_lanes<const W: usize>(
 }
 
 /// The runtime-selected lane-block width for a sweep of `lanes`
-/// scenarios: W = 2 up to 128 lanes, W = 4 up to 256, W = 8 beyond —
-/// the smallest supported width whose single block fits the workload,
-/// so narrow sweeps don't pay for padding words.
+/// scenarios: W = 1 up to 64 lanes, W = 2 up to 128, W = 4 up to 256,
+/// W = 8 beyond — the smallest supported width whose single block fits
+/// the workload, so narrow sweeps don't pay for padding words.
 #[must_use]
 pub fn width_for(lanes: usize) -> usize {
-    if lanes <= 128 {
-        2
-    } else if lanes <= 256 {
-        4
-    } else {
-        8
+    match lanes {
+        0..=64 => 1,
+        65..=128 => 2,
+        129..=256 => 4,
+        _ => 8,
     }
 }
 
@@ -567,12 +606,7 @@ pub fn site_verdicts(
     n: usize,
     sites: &[FaultSite],
 ) -> Vec<bool> {
-    let lanes = lanes_for(sites, n);
-    match width_for(lanes.len()) {
-        2 => sweep_lanes::<2>(test, model, n, sites.len(), &lanes, false),
-        4 => sweep_lanes::<4>(test, model, n, sites.len(), &lanes, false),
-        _ => sweep_lanes::<8>(test, model, n, sites.len(), &lanes, false),
-    }
+    sweep(test, model, n, sites, false)
 }
 
 fn sweep(
@@ -584,13 +618,14 @@ fn sweep(
 ) -> Vec<bool> {
     let lanes = lanes_for(sites, n);
     match width_for(lanes.len()) {
+        1 => sweep_lanes::<1>(test, model, n, sites.len(), &lanes, early_exit),
         2 => sweep_lanes::<2>(test, model, n, sites.len(), &lanes, early_exit),
         4 => sweep_lanes::<4>(test, model, n, sites.len(), &lanes, early_exit),
         _ => sweep_lanes::<8>(test, model, n, sites.len(), &lanes, early_exit),
     }
 }
 
-/// Wide-lane equivalent of [`crate::coverage::model_coverage`], at the
+/// Packed equivalent of [`crate::coverage::model_coverage`], at the
 /// auto-selected width.
 #[must_use]
 pub fn model_coverage(test: &MarchTest, model: FaultModel, n: usize) -> ModelCoverage {
@@ -636,7 +671,7 @@ pub fn coverage_from_verdicts(
     }
 }
 
-/// Wide-lane equivalent of [`crate::coverage::coverage_report`].
+/// Packed equivalent of [`crate::coverage::coverage_report`].
 #[must_use]
 pub fn coverage_report(test: &MarchTest, models: &[FaultModel], n: usize) -> CoverageReport {
     CoverageReport {
@@ -661,16 +696,27 @@ pub fn coverage_report_w<const W: usize>(
     }
 }
 
-/// Wide-lane equivalent of [`crate::coverage::covers_all`], with early
-/// exit on the first escaped scenario — the compaction fast path.
+/// Packed equivalent of [`crate::coverage::covers_all`], with early
+/// exit on the first escaped scenario — the compaction fast path, where
+/// most deletion candidates lose coverage quickly.
 #[must_use]
 pub fn covers_all(test: &MarchTest, models: &[FaultModel], n: usize) -> bool {
-    covers_all_sites(test, &crate::bitsim::enumerate_sites(models, n), n)
+    covers_all_sites(test, &enumerate_sites(models, n), n)
+}
+
+/// Per-model site lists enumerated once, for repeated coverage queries
+/// over varying tests (the compaction deletion loop) — the same hoist
+/// the scalar path applies in [`crate::redundancy`].
+#[must_use]
+pub fn enumerate_sites(models: &[FaultModel], n: usize) -> Vec<(FaultModel, Vec<FaultSite>)> {
+    models
+        .iter()
+        .map(|&m| (m, FaultSite::enumerate(m, n)))
+        .collect()
 }
 
 /// [`covers_all`] over pre-enumerated site lists (see
-/// [`crate::bitsim::enumerate_sites`]) — the same hoist the other
-/// backends apply for the compaction deletion loop.
+/// [`enumerate_sites`]).
 #[must_use]
 pub fn covers_all_sites(
     test: &MarchTest,
@@ -682,11 +728,15 @@ pub fn covers_all_sites(
         .all(|(model, sites)| sweep(test, *model, n, sites, true).iter().all(|&ok| ok))
 }
 
-/// Per-resolution, per-lane mismatch verdicts at width `W` — the wide
-/// engine's side of the lane-level differential (see
-/// [`crate::bitsim::lane_mismatches`] and
-/// [`crate::engine::lane_mismatches`] for the 64-lane and scalar
-/// counterparts; all three must agree on every single lane).
+/// Per-resolution, per-lane mismatch verdicts at width `W`: `out[r][l]`
+/// is `true` when lane `l` (site-major, then pattern, then latch)
+/// produced at least one mismatching read under resolution vector `r`.
+///
+/// This is the finest observable the packed engine has — the
+/// differential suite compares it bit-for-bit against
+/// [`crate::engine::lane_mismatches`] at every width, so a disagreement
+/// on a *single* scenario lane fails the build even when the aggregated
+/// site verdicts happen to coincide.
 #[must_use]
 pub fn lane_mismatches_w<const W: usize>(
     test: &MarchTest,
@@ -711,25 +761,6 @@ pub fn lane_mismatches_w<const W: usize>(
     out
 }
 
-/// Scenario lanes one instance sweep of `model` enumerates on an
-/// `n`-cell memory (sites × power-up patterns × latch values) — counted
-/// without materializing the lanes.
-#[must_use]
-pub fn model_lanes(model: FaultModel, n: usize) -> usize {
-    FaultSite::enumerate(model, n)
-        .iter()
-        .map(|site| power_up_patterns(site, n).len() * latch_values(site).len())
-        .sum()
-}
-
-/// The largest per-model scenario lane count across `models` — the
-/// quantity the `auto` verifier choice keys on: ≤ 64 lanes fit one
-/// bitsim batch, anything wider wants this engine.
-#[must_use]
-pub fn max_model_lanes(models: &[FaultModel], n: usize) -> usize {
-    models.iter().map(|&m| model_lanes(m, n)).max().unwrap_or(0)
-}
-
 /// One unit of parallel verification work: a contiguous site range of
 /// one fault model, sized by [`shard_plan`] to at most one full-width
 /// lane block.
@@ -739,6 +770,9 @@ pub struct VerifyShard {
     pub model_index: usize,
     /// Range into that model's [`FaultSite::enumerate`] site list.
     pub sites: std::ops::Range<usize>,
+    /// Scenario lanes the range sweeps (sites × power-up patterns ×
+    /// latch values).
+    pub lanes: usize,
 }
 
 /// The deterministic shard plan for a verification sweep over `models`
@@ -761,6 +795,7 @@ pub fn shard_plan(models: &[FaultModel], n: usize) -> Vec<VerifyShard> {
                 plan.push(VerifyShard {
                     model_index,
                     sites: lo..k,
+                    lanes,
                 });
                 lo = k;
                 lanes = 0;
@@ -771,6 +806,7 @@ pub fn shard_plan(models: &[FaultModel], n: usize) -> Vec<VerifyShard> {
             plan.push(VerifyShard {
                 model_index,
                 sites: lo..sites.len(),
+                lanes,
             });
         }
     }
@@ -780,7 +816,7 @@ pub fn shard_plan(models: &[FaultModel], n: usize) -> Vec<VerifyShard> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{bitsim, coverage};
+    use crate::coverage;
     use marchgen_faults::parse_fault_list;
     use marchgen_march::known;
     use marchgen_testkit::run_cases;
@@ -790,6 +826,8 @@ mod tests {
         assert_eq!(LaneWord::<2>::splat(Bit::Zero), LaneWord::<2>::ZERO);
         assert_eq!(LaneWord::<2>::splat(Bit::One), LaneWord::<2>::ONES);
         assert_eq!(LaneWord::<2>::first_n(128), LaneWord::<2>::ONES);
+        assert_eq!(LaneWord::<1>::first_n(64), LaneWord::<1>::ONES);
+        assert_eq!(LaneWord::<1>::first_n(3).0, [0b111]);
         assert_eq!(LaneWord::<4>::first_n(0), LaneWord::<4>::ZERO);
         let m = LaneWord::<2>::first_n(70);
         assert_eq!(m.0, [!0u64, (1 << 6) - 1]);
@@ -808,7 +846,10 @@ mod tests {
 
     #[test]
     fn width_selection_by_lane_count() {
-        assert_eq!(width_for(1), 2);
+        assert_eq!(width_for(0), 1);
+        assert_eq!(width_for(1), 1);
+        assert_eq!(width_for(64), 1);
+        assert_eq!(width_for(65), 2);
         assert_eq!(width_for(128), 2);
         assert_eq!(width_for(129), 4);
         assert_eq!(width_for(256), 4);
@@ -817,7 +858,21 @@ mod tests {
     }
 
     #[test]
-    fn matches_scalar_and_bitsim_on_classical_claims() {
+    fn lane_enumeration_matches_scalar_scenario_order() {
+        let model = FaultModel::all_extended()
+            .into_iter()
+            .find(FaultModel::is_pair_fault)
+            .expect("the catalog has pair faults");
+        let sites = FaultSite::enumerate(model, 4);
+        let lanes = lanes_for(&sites, 4);
+        // site-major: lanes of site k all precede lanes of site k+1.
+        assert!(lanes.windows(2).all(|w| w[0].site_index <= w[1].site_index));
+        let per_site = power_up_patterns(&sites[0], 4).len() * latch_values(&sites[0]).len();
+        assert_eq!(lanes.len(), sites.len() * per_site);
+    }
+
+    #[test]
+    fn matches_scalar_at_one_word_and_auto_width_on_classical_claims() {
         let n = 4;
         for (list, test) in [
             ("SAF, TF", known::mats_plus_plus()),
@@ -828,7 +883,7 @@ mod tests {
             let models = parse_fault_list(list).unwrap();
             let scalar = coverage::coverage_report(&test, &models, n);
             assert_eq!(coverage_report(&test, &models, n), scalar, "{list}");
-            assert_eq!(bitsim::coverage_report(&test, &models, n), scalar, "{list}");
+            assert_eq!(coverage_report_w::<1>(&test, &models, n), scalar, "{list}");
             assert!(covers_all(&test, &models, n));
         }
     }
@@ -854,11 +909,13 @@ mod tests {
     #[test]
     fn multi_block_sweep_matches_narrow_widths() {
         // n = 8 pair faults: 56 sites × 8 patterns = 448 lanes — one
-        // W = 8 block, two W = 4 blocks, four W = 2 blocks.
+        // W = 8 block, two W = 4 blocks, four W = 2 blocks, seven W = 1.
         let n = 8;
         let models = parse_fault_list("CFin<u>").unwrap();
         let test = known::march_c_minus();
         let scalar = coverage::coverage_report(&test, &models, n);
+        assert!(scalar.complete());
+        assert_eq!(coverage_report_w::<1>(&test, &models, n), scalar);
         assert_eq!(coverage_report_w::<2>(&test, &models, n), scalar);
         assert_eq!(coverage_report_w::<4>(&test, &models, n), scalar);
         assert_eq!(coverage_report_w::<8>(&test, &models, n), scalar);
@@ -996,15 +1053,18 @@ mod tests {
     }
 
     #[test]
-    fn lane_counts_match_materialized_enumeration() {
+    fn planned_lane_counts_match_materialized_enumeration() {
         for n in [2usize, 4, 8] {
             for model in FaultModel::all_extended() {
                 let sites = FaultSite::enumerate(model, n);
-                assert_eq!(
-                    model_lanes(model, n),
-                    lanes_for(&sites, n).len(),
-                    "{model} at n={n}"
-                );
+                let plan = shard_plan(&[model], n);
+                for shard in &plan {
+                    assert_eq!(
+                        shard.lanes,
+                        lanes_for(&sites[shard.sites.clone()], n).len(),
+                        "{model} at n={n}"
+                    );
+                }
             }
         }
     }

@@ -64,7 +64,7 @@ const USAGE: &str = "\
 marchgen — automatic generation of optimal March tests (Benso et al., DATE 2002)
 
 usage:
-  marchgen generate <fault-list> [--json] [--solver NAME] [--verifier auto|scalar|bitsim|wide]
+  marchgen generate <fault-list> [--json] [--solver NAME] [--verifier auto|scalar]
                     [--search-threads N] [--cache-dir DIR]
                                             e.g. marchgen generate \"SAF, TF, CFin\"
   marchgen validate <march> <fault-list> [--json]
@@ -77,17 +77,18 @@ usage:
                                             testbench bundle (see docs/RTL notes)
                                             e.g. marchgen codegen \"March C-\" --lang sv
   marchgen known    [name]                  list/show the classical test library
-  marchgen batch    <file> [--json] [--threads N] [--solver NAME] [--verifier auto|scalar|bitsim|wide]
+  marchgen batch    <file> [--json] [--threads N] [--solver NAME] [--verifier auto|scalar]
                     [--search-threads N] [--cache-dir DIR]
                                             one fault list per line through the batch service
 
   --solver          ATSP backend: auto (exact up to 40 nodes, then the
                     LKH-style local search; the default), held-karp,
                     branch-bound, heuristic, or local-search
-  --verifier        verification backend: auto (packed backend by scenario
-                    lane count: bitsim up to 64 lanes, wide beyond; the
-                    default), scalar, bitsim (64-lane bit-parallel), or
-                    wide (multi-word lanes + sharded verify)
+  --verifier        verification backend: auto (the packed simulator,
+                    64-512 scenario lanes per word, sharded across the
+                    search threads on wide sweeps; the default) or scalar
+                    (one scenario at a time); the retired names bitsim
+                    and wide are accepted as aliases of auto
   --search-threads  worker threads for the sharded in-request candidate
                     search (0 = one per CPU; never changes the result)
   --cache-dir       persistent content-addressed outcome cache: identical
@@ -159,9 +160,10 @@ fn take_global_options(args: &mut Vec<String>) -> Result<(Option<usize>, Request
     };
     let verifier = match take_str_option(args, "--verifier")? {
         None => None,
-        Some(name) => Some(VerifierChoice::from_key(&name).ok_or_else(|| {
-            format!("--verifier must be auto, scalar, bitsim or wide, got {name:?}")
-        })?),
+        Some(name) => Some(
+            VerifierChoice::from_key(&name)
+                .ok_or_else(|| format!("--verifier must be auto or scalar, got {name:?}"))?,
+        ),
     };
     Ok((
         threads,
@@ -615,4 +617,26 @@ fn error_chain(error: &Error) -> String {
         source = cause.source();
     }
     text
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn verifier_option(name: &str) -> Result<Option<VerifierChoice>, String> {
+        let mut args = vec!["--verifier".to_owned(), name.to_owned()];
+        take_global_options(&mut args).map(|(_, knobs)| knobs.verifier)
+    }
+
+    #[test]
+    fn verifier_option_accepts_the_retired_names_as_auto() {
+        assert_eq!(verifier_option("auto"), Ok(Some(VerifierChoice::Auto)));
+        assert_eq!(verifier_option("scalar"), Ok(Some(VerifierChoice::Scalar)));
+        assert_eq!(verifier_option("bitsim"), Ok(Some(VerifierChoice::Auto)));
+        assert_eq!(verifier_option("wide"), Ok(Some(VerifierChoice::Auto)));
+        for unknown in ["quantum", "widesim", ""] {
+            let error = verifier_option(unknown).unwrap_err();
+            assert!(error.starts_with("--verifier must be"), "{error}");
+        }
+    }
 }

@@ -1247,8 +1247,9 @@ impl App {
             }
         }
         // Fixed verification-backend vocabulary, same contract: the
-        // trait names of the in-tree backends plus "none" for
-        // verification-disabled requests.
+        // trait names of the in-tree backends, "none" for
+        // verification-disabled requests, and "bitsim", the retired
+        // 64-lane backend, kept so no exposed series disappears.
         for backend in ["simulator", "bitsim", "widesim", "none"] {
             let _ = registry.counter(
                 "marchgend_verifier_outcomes_total",

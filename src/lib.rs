@@ -121,7 +121,7 @@ pub use marchgen_generator::{
     Generator, Outcome, VerifierChoice,
 };
 pub use marchgen_march::{known, Direction, MarchElement, MarchOp, MarchTest};
-pub use marchgen_sim::{BitSimVerifier, SimVerifier, Verifier};
+pub use marchgen_sim::{SimVerifier, Verifier, WideSimVerifier};
 
 /// Convenience prelude for examples and downstream quick starts.
 pub mod prelude {

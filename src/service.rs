@@ -24,9 +24,8 @@ use marchgen_atsp::SolverRegistry;
 #[cfg(feature = "serde")]
 use marchgen_cache::{canonical_key_text, key_for_text, OutcomeCache};
 use marchgen_generator::{generate_with_registry, GenerateOutcome, GenerateRequest};
+use marchgen_sim::run_indexed;
 use std::num::NonZeroUsize;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 /// A progress event emitted while a batch runs. Events for different
 /// requests interleave arbitrarily; `index` ties them back to the input
@@ -124,8 +123,9 @@ impl BatchEvent<'_> {
 /// A configurable multi-threaded batch executor over the generation
 /// engine.
 ///
-/// Requests are pulled from a shared queue by `threads` workers (scoped
-/// threads — no `'static` bounds), each resolved against one shared
+/// Requests are pulled from a shared queue by `threads` workers (the
+/// scoped [`run_indexed`] pool — no `'static` bounds; one worker runs
+/// inline on the calling thread), each resolved against one shared
 /// [`SolverRegistry`]. Results come back in input order, one
 /// `Result` per request, so a single bad request never poisons the
 /// batch.
@@ -214,49 +214,28 @@ impl Batch {
         on_event: &(impl Fn(BatchEvent<'_>) + Sync),
         compute: &(impl Fn(&GenerateRequest) -> Result<GenerateOutcome, Error> + Sync),
     ) -> Vec<Result<GenerateOutcome, Error>> {
-        let total = requests.len();
-        let mut results: Vec<Option<Result<GenerateOutcome, Error>>> = Vec::new();
-        results.resize_with(total, || None);
-        let results = Mutex::new(results);
-        let next = AtomicUsize::new(0);
-        let workers = self.threads.get().min(total.max(1));
-
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    let index = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(request) = requests.get(index) else {
-                        break;
-                    };
-                    on_event(BatchEvent::Started { index, request });
-                    // Requests left on automatic search threading would
-                    // each spawn one shard worker per CPU *inside* a
-                    // batch that already runs one worker per CPU — pin
-                    // them to a single shard worker instead. Explicit
-                    // `search_threads` choices are honored as-is, and
-                    // the pinning never changes an outcome (sharding is
-                    // deterministic by construction) or a cache key
-                    // (`search_threads` is excluded from hashing).
-                    let result = if workers > 1 && request.search_threads == 0 {
-                        compute(&request.clone().with_search_threads(1))
-                    } else {
-                        compute(request)
-                    };
-                    match &result {
-                        Ok(outcome) => on_event(BatchEvent::Finished { index, outcome }),
-                        Err(error) => on_event(BatchEvent::Failed { index, error }),
-                    }
-                    results.lock().expect("results lock")[index] = Some(result);
-                });
+        let workers = self.threads.get().min(requests.len().max(1));
+        run_indexed(requests.len(), workers, |index| {
+            let request = &requests[index];
+            on_event(BatchEvent::Started { index, request });
+            // Requests left on automatic search threading would each
+            // spawn one shard worker per CPU *inside* a batch that
+            // already runs one worker per CPU — pin them to a single
+            // shard worker instead. Explicit `search_threads` choices
+            // are honored as-is, and the pinning never changes an
+            // outcome (sharding is deterministic by construction) or a
+            // cache key (`search_threads` is excluded from hashing).
+            let result = if workers > 1 && request.search_threads == 0 {
+                compute(&request.clone().with_search_threads(1))
+            } else {
+                compute(request)
+            };
+            match &result {
+                Ok(outcome) => on_event(BatchEvent::Finished { index, outcome }),
+                Err(error) => on_event(BatchEvent::Failed { index, error }),
             }
-        });
-
-        results
-            .into_inner()
-            .expect("results lock")
-            .into_iter()
-            .map(|slot| slot.expect("every request ran"))
-            .collect()
+            result
+        })
     }
 
     /// [`Batch::run`] through a content-addressed [`OutcomeCache`]:
@@ -374,6 +353,7 @@ mod tests {
     use super::*;
     use marchgen_generator::GenerateError;
     use std::sync::atomic::AtomicUsize;
+    use std::sync::atomic::Ordering::Relaxed;
 
     #[test]
     fn empty_batch() {
@@ -382,60 +362,65 @@ mod tests {
 
     #[test]
     fn results_keep_input_order_and_isolate_failures() {
-        let requests = vec![
-            GenerateRequest::from_fault_list("SAF, TF").unwrap(),
-            GenerateRequest::default(), // empty fault list → fails
-            GenerateRequest::from_fault_list("SAF").unwrap(),
-        ];
-        let results = Batch::new().threads(2).run(requests);
-        assert_eq!(results.len(), 3);
-        assert_eq!(results[0].as_ref().unwrap().complexity(), 5);
-        assert_eq!(
-            results[1].as_ref().unwrap_err(),
-            &Error::Generate(GenerateError::EmptyFaultList)
-        );
-        assert_eq!(results[2].as_ref().unwrap().complexity(), 4);
+        for threads in [1usize, 2] {
+            let requests = vec![
+                GenerateRequest::from_fault_list("SAF, TF").unwrap(),
+                GenerateRequest::default(), // empty fault list → fails
+                GenerateRequest::from_fault_list("SAF").unwrap(),
+            ];
+            let results = Batch::new().threads(threads).run(requests);
+            assert_eq!(results.len(), 3);
+            assert_eq!(results[0].as_ref().unwrap().complexity(), 5);
+            assert_eq!(
+                results[1].as_ref().unwrap_err(),
+                &Error::Generate(GenerateError::EmptyFaultList)
+            );
+            assert_eq!(results[2].as_ref().unwrap().complexity(), 4);
+        }
     }
 
     #[test]
     fn progress_events_cover_every_request_and_terminate() {
-        let requests = vec![
-            GenerateRequest::from_fault_list("SAF").unwrap(),
-            GenerateRequest::default(),
-            GenerateRequest::from_fault_list("TF").unwrap(),
-        ];
-        let started = AtomicUsize::new(0);
-        let finished = AtomicUsize::new(0);
-        let failed = AtomicUsize::new(0);
-        let completed = AtomicUsize::new(0);
-        let _ = Batch::new()
-            .threads(3)
-            .run_with_progress(requests, |event| {
-                match event {
-                    BatchEvent::Started { .. } => started.fetch_add(1, Ordering::Relaxed),
-                    BatchEvent::Finished { .. } => finished.fetch_add(1, Ordering::Relaxed),
-                    BatchEvent::Failed { .. } => failed.fetch_add(1, Ordering::Relaxed),
-                    BatchEvent::Completed {
-                        total,
-                        succeeded,
-                        failed,
-                    } => {
-                        // Terminal event: every per-request event has
-                        // already been delivered by now.
-                        assert_eq!((total, succeeded, failed), (3, 2, 1));
-                        assert_eq!(started.load(Ordering::Relaxed), 3);
-                        completed.fetch_add(1, Ordering::Relaxed)
-                    }
-                };
-            });
-        assert_eq!(started.load(Ordering::Relaxed), 3);
-        assert_eq!(finished.load(Ordering::Relaxed), 2);
-        assert_eq!(failed.load(Ordering::Relaxed), 1);
-        assert_eq!(
-            completed.load(Ordering::Relaxed),
-            1,
-            "exactly one terminal event"
-        );
+        for threads in [1usize, 3] {
+            let requests = vec![
+                GenerateRequest::from_fault_list("SAF").unwrap(),
+                GenerateRequest::default(),
+                GenerateRequest::from_fault_list("TF").unwrap(),
+            ];
+            // Per input index: started, finished, failed.
+            let seen: Vec<[AtomicUsize; 3]> = (0..3).map(|_| Default::default()).collect();
+            let completed = AtomicUsize::new(0);
+            let _ = Batch::new()
+                .threads(threads)
+                .run_with_progress(requests, |event| {
+                    match event {
+                        BatchEvent::Started { index, .. } => seen[index][0].fetch_add(1, Relaxed),
+                        BatchEvent::Finished { index, .. } => seen[index][1].fetch_add(1, Relaxed),
+                        BatchEvent::Failed { index, .. } => seen[index][2].fetch_add(1, Relaxed),
+                        BatchEvent::Completed {
+                            total,
+                            succeeded,
+                            failed,
+                        } => {
+                            // Terminal event: every per-request event
+                            // has already been delivered by now.
+                            assert_eq!((total, succeeded, failed), (3, 2, 1));
+                            assert!(seen.iter().all(|s| s[0].load(Relaxed) == 1));
+                            completed.fetch_add(1, Relaxed)
+                        }
+                    };
+                });
+            let counts: Vec<[usize; 3]> = seen
+                .iter()
+                .map(|s| [0, 1, 2].map(|k| s[k].load(Relaxed)))
+                .collect();
+            assert_eq!(
+                counts,
+                [[1, 1, 0], [1, 0, 1], [1, 1, 0]],
+                "{threads} threads"
+            );
+            assert_eq!(completed.load(Relaxed), 1, "exactly one terminal event");
+        }
     }
 
     /// `run_cached` answers repeats from the cache, deduplicates

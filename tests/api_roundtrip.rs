@@ -36,11 +36,10 @@ fn random_request(rng: &mut Rng) -> GenerateRequest {
         .with_compact(rng.flip())
         .with_check_redundancy(rng.flip())
         .with_max_combinations(rng.range(1, 10_000))
-        .with_verifier(match rng.range(0, 4) {
-            0 => VerifierChoice::Auto,
-            1 => VerifierChoice::Scalar,
-            2 => VerifierChoice::BitParallel,
-            _ => VerifierChoice::Wide,
+        .with_verifier(if rng.flip() {
+            VerifierChoice::Scalar
+        } else {
+            VerifierChoice::Auto
         })
         .with_search_threads(rng.range(0, 9))
 }

@@ -5,8 +5,8 @@
 //! run-varying) wall-clock timings are normalized — every other field,
 //! down to the per-shard timing *counts* and the candidate-complexity
 //! frontier, is exact. Likewise, swapping the verification backend
-//! (scalar / bitsim / wide) must never change what the pipeline
-//! computes, only how fast.
+//! (scalar / packed) must never change what the pipeline computes, only
+//! how fast.
 
 #![cfg(feature = "serde")]
 
@@ -61,16 +61,16 @@ fn sharded_search_json_is_byte_identical_across_thread_counts() {
     }
 }
 
-/// The wide backend's sharded verify phase is deterministic too: the
+/// The packed backend's sharded verify phase is deterministic too: the
 /// shard plan is cut from the fault list, not the worker count, so 1, 2
 /// and 8 workers produce byte-identical JSON — including the length of
-/// `verify_shard_micros`.
+/// `verify_shard_micros`, whether the shards fan out (pair faults) or
+/// run inline (lists of at most 64 lanes per model).
 #[test]
 fn sharded_verify_json_is_byte_identical_across_thread_counts() {
-    for faults in ["SAF, CFin", "SAF, TF, ADF, CFin", "CFin, CFid"] {
+    for faults in ["SAF, CFin", "SAF, TF, ADF, CFin", "CFin, CFid", "SAF, TF"] {
         let base = GenerateRequest::from_fault_list(faults)
             .unwrap()
-            .with_verifier(VerifierChoice::Wide)
             .with_check_redundancy(true);
         let reference = normalized_json(generate(&base.clone().with_search_threads(1)).unwrap());
         for threads in [2usize, 8] {
@@ -109,22 +109,19 @@ fn local_search_solver_json_is_byte_identical_across_thread_counts() {
 }
 
 /// The verifier backend is *not* supposed to leak into the outcome:
-/// scalar, bit-parallel and wide verification serialize identically
-/// once the backend-identity diagnostics (`verifier`, per-shard verify
-/// timings) are blanked.
+/// scalar and packed verification serialize identically once the
+/// backend-identity diagnostics (`verifier`, per-shard verify timings)
+/// are blanked.
 #[test]
 fn verifier_backend_does_not_change_outcome_json() {
-    for faults in ["SAF, CFin", "CFid<u,0>, CFid<u,1>"] {
+    for faults in ["SAF, CFin", "CFid<u,0>, CFid<u,1>", "SAF, TF"] {
         let base = GenerateRequest::from_fault_list(faults)
             .unwrap()
             .with_check_redundancy(true);
         let scalar = backend_normalized_json(
             generate(&base.clone().with_verifier(VerifierChoice::Scalar)).unwrap(),
         );
-        for choice in [VerifierChoice::BitParallel, VerifierChoice::Wide] {
-            let packed =
-                backend_normalized_json(generate(&base.clone().with_verifier(choice)).unwrap());
-            assert_eq!(packed, scalar, "{faults} via {choice}");
-        }
+        let packed = backend_normalized_json(generate(&base).unwrap());
+        assert_eq!(packed, scalar, "{faults}");
     }
 }

@@ -32,10 +32,6 @@ const ALLOWED: &[(&str, &str)] = &[
         "crates/bench/src/bin/repro.rs",
         "constructs fixed benchmark workload instances (no dispatch)",
     ),
-    (
-        "crates/bench/benches/figures.rs",
-        "constructs fixed benchmark workload instances (no dispatch)",
-    ),
 ];
 
 /// The production slice of a source file: everything before the first
@@ -160,15 +156,14 @@ fn allowlist_entries_exist_and_are_needed() {
     }
 }
 
-/// The key tentpole claim, pinned explicitly: the scalar, bit-parallel
-/// and wide-lane interpreters are fully behaviour-driven.
+/// The key tentpole claim, pinned explicitly: the scalar and packed
+/// interpreters are fully behaviour-driven.
 #[test]
 fn interpreters_are_variant_free() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
     for rel in [
         "crates/sim/src/engine.rs",
         "crates/sim/src/memory.rs",
-        "crates/sim/src/bitsim.rs",
         "crates/sim/src/widesim.rs",
         "crates/sim/src/linked.rs",
         "crates/sim/src/diagnosis.rs",

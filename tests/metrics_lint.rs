@@ -478,23 +478,29 @@ fn live_daemon_exposition_is_lint_clean_and_covers_key_families() {
         assert!(text.contains(&series), "missing phase {phase}:\n{text}");
     }
     // The verifier-outcome family carries the full fixed backend
-    // vocabulary from the first scrape (zeros, not gaps), and the
-    // computed SAF+TF requests above actually landed on the packed
-    // 64-lane backend the auto heuristic selects for that list.
+    // vocabulary from the first scrape (zeros, not gaps) — including the
+    // retired "bitsim" label, so no exposed series disappears — and the
+    // computed SAF+TF requests above landed on the packed backend `auto`
+    // resolves to.
     for backend in ["simulator", "bitsim", "widesim", "none"] {
         let series = format!("marchgend_verifier_outcomes_total{{backend=\"{backend}\"}}");
         assert!(text.contains(&series), "missing backend {backend}:\n{text}");
     }
-    let bitsim_count = text
-        .lines()
-        .find_map(|line| {
-            line.strip_prefix("marchgend_verifier_outcomes_total{backend=\"bitsim\"} ")
-        })
-        .and_then(|v| v.trim().parse::<u64>().ok())
-        .expect("bitsim verifier counter present");
+    let backend_count = |backend: &str| {
+        let prefix = format!("marchgend_verifier_outcomes_total{{backend=\"{backend}\"}} ");
+        text.lines()
+            .find_map(|line| line.strip_prefix(prefix.as_str()))
+            .and_then(|v| v.trim().parse::<u64>().ok())
+            .unwrap_or_else(|| panic!("{backend} verifier counter present"))
+    };
     assert!(
-        bitsim_count >= 1,
-        "computed SAF+TF outcome should count under bitsim:\n{text}"
+        backend_count("widesim") >= 1,
+        "computed SAF+TF outcome should count under widesim:\n{text}"
+    );
+    assert_eq!(
+        backend_count("bitsim"),
+        0,
+        "nothing resolves to the retired backend:\n{text}"
     );
     daemon.shutdown();
 }
