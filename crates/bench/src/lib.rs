@@ -6,7 +6,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use marchgen_atsp::AtspInstance;
+use marchgen_atsp::{AtspInstance, INF};
 use marchgen_faults::{parse_fault_list, requirements_for, FaultModel, TestPattern};
 
 /// One row of the paper's Table 3.
@@ -103,6 +103,35 @@ pub fn random_atsp(n: usize, seed: u64) -> AtspInstance {
     })
 }
 
+/// A deterministic ATSP instance shaped like the ones the pipeline
+/// solves: `n - 1` test-pattern nodes joined by arcs of weight 0–2,
+/// plus the dummy start node `n - 1`, whose out-arcs carry an
+/// initialisation cost of 0–2 or are forbidden ([`INF`]) and whose
+/// in-arcs are free. The small weights give many co-optimal tours.
+///
+/// # Panics
+///
+/// Panics if `n < 2`.
+#[must_use]
+pub fn tpg_shaped_atsp(n: usize, seed: u64) -> AtspInstance {
+    assert!(n >= 2, "a TPG-shaped instance needs a pattern and the dummy");
+    let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+    let mut next = move || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        state
+    };
+    let dummy = n - 1;
+    // One pattern always admits the start, so some tour is finite.
+    let open = (next() % dummy as u64) as usize;
+    AtspInstance::from_fn(n, |i, j| match (i == dummy, j == dummy) {
+        (true, _) if j != open && next() % 2 == 0 => INF,
+        (false, true) => 0,
+        _ => next() % 3,
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -123,5 +152,14 @@ mod tests {
     #[test]
     fn random_atsp_is_deterministic() {
         assert_eq!(random_atsp(6, 7), random_atsp(6, 7));
+    }
+
+    #[test]
+    fn tpg_shaped_atsp_has_a_finite_tour() {
+        for seed in 0..16 {
+            let inst = tpg_shaped_atsp(10, seed);
+            assert_eq!(inst, tpg_shaped_atsp(10, seed));
+            assert!(marchgen_atsp::held_karp::solve(&inst).is_finite());
+        }
     }
 }
