@@ -4,11 +4,23 @@
 //! The generator uses the enumeration to de-risk the paper's
 //! "GTS length ≈ March complexity" proxy: every minimum-weight tour is
 //! converted to a March test and the shortest result wins.
+//!
+//! # Enumeration order
+//!
+//! [`solve_all`] returns the optimal tours in one fixed order, and the
+//! generator's candidate order (and so its outcome under a tour cap)
+//! depends on it. The order is a depth-first walk of the DP table from
+//! the end of the tour back to node 0: the node before the closing arc
+//! is tried from the highest index down, and at each step back every
+//! optimal predecessor is again tried from the highest index down. A
+//! tour is emitted when the walk reaches node 0. `cap` keeps the first
+//! `cap` tours of this order, so a capped result is always a prefix of
+//! the uncapped one.
 
 use crate::instance::{add_cost, AtspInstance, Tour, INF};
 
 /// Practical node ceiling for the DP (`2²⁰ × 20 × 8` bytes ≈ 168 MiB is
-/// past reasonable; 18 keeps the table under 40 MiB).
+/// past reasonable; 18 keeps the table under 20 MiB).
 pub const MAX_NODES: usize = 18;
 
 /// Exact solution by dynamic programming.
@@ -23,7 +35,8 @@ pub fn solve(instance: &AtspInstance) -> Tour {
 }
 
 /// All optimal tours, capped at `cap` results (the cap guards pathological
-/// all-equal-cost instances; `cap = 0` means "just one").
+/// all-equal-cost instances; `cap = 0` means "just one"), in the order
+/// the [module docs](self#enumeration-order) define.
 ///
 /// # Panics
 ///
@@ -39,11 +52,13 @@ pub fn solve_all(instance: &AtspInstance, cap: usize) -> Vec<Tour> {
 }
 
 struct DpTable<'a> {
-    instance: &'a AtspInstance,
     n: usize,
-    /// `dp[mask * n + last]`: cheapest path starting at node 0, visiting
-    /// exactly the nodes of `mask` (which always contains 0 and `last`),
-    /// ending at `last`.
+    /// The instance's row-major cost matrix: `cost[from * n + to]`.
+    cost: &'a [u64],
+    /// `dp[(mask >> 1) * n + last]`: cheapest path starting at node 0,
+    /// visiting exactly the nodes of `mask`, ending at `last`. Every
+    /// path contains node 0, so only odd masks have rows. Entries are
+    /// either finite or exactly [`INF`] (unreachable).
     dp: Vec<u64>,
     best_cost: u64,
 }
@@ -55,75 +70,78 @@ impl<'a> DpTable<'a> {
             n <= MAX_NODES,
             "Held-Karp capped at {MAX_NODES} nodes, got {n}"
         );
+        let cost = instance.matrix();
         if n == 1 {
             return DpTable {
-                instance,
                 n,
-                dp: vec![0, 0],
+                cost,
+                dp: vec![0],
                 best_cost: 0,
             };
         }
-        let size = 1usize << n;
-        let mut dp = vec![INF; size * n];
-        dp[n] = 0; // at node 0, only 0 visited
-        for mask in 1..size {
-            if mask & 1 == 0 {
-                continue; // paths always include the start node 0
-            }
-            for last in 0..n {
-                if mask & (1 << last) == 0 {
-                    continue;
-                }
-                let cur = dp[mask * n + last];
-                if cur >= INF {
-                    continue;
-                }
-                for next in 0..n {
-                    if mask & (1 << next) != 0 {
-                        continue;
-                    }
-                    let cand = add_cost(cur, instance.cost(last, next));
-                    let slot = &mut dp[(mask | (1 << next)) * n + next];
-                    if cand < *slot {
-                        *slot = cand;
-                    }
-                }
+        // Pull form: each entry extends the cheapest path over `mask`
+        // without `last` by one arc; the ascending walk over the odd
+        // masks has filled that smaller row already. Unreachable
+        // predecessors sum to at least INF, so an entry no finite path
+        // reaches stays exactly INF.
+        let full = (1usize << n) - 1;
+        let mut dp = vec![INF; (1 << (n - 1)) * n];
+        dp[0] = 0; // at node 0, only 0 visited
+        for mask in (3..=full).step_by(2) {
+            let row = (mask >> 1) * n;
+            for last in bits(mask & !1) {
+                let without = mask & !(1 << last);
+                let from = &dp[(without >> 1) * n..][..n];
+                dp[row + last] = bits(without)
+                    .map(|prev| add_cost(from[prev], cost[prev * n + last]))
+                    .fold(INF, u64::min);
             }
         }
-        let full = size - 1;
-        let mut best_cost = INF;
-        for last in 1..n {
-            let c = add_cost(dp[full * n + last], instance.cost(last, 0));
-            best_cost = best_cost.min(c);
-        }
-        DpTable {
-            instance,
+        let mut table = DpTable {
             n,
+            cost,
             dp,
-            best_cost,
-        }
+            best_cost: INF,
+        };
+        table.best_cost = (1..n)
+            .map(|last| table.closing_cost(last))
+            .min()
+            .expect("n > 1");
+        table
+    }
+
+    /// `dp` entry for the path over `mask` ending at `last`.
+    fn at(&self, mask: usize, last: usize) -> u64 {
+        self.dp[(mask >> 1) * self.n + last]
+    }
+
+    /// Cost of the cheapest tour whose last node before returning to 0
+    /// is `last`.
+    fn closing_cost(&self, last: usize) -> u64 {
+        let full = (1usize << self.n) - 1;
+        add_cost(self.at(full, last), self.cost[last * self.n])
+    }
+
+    /// Whether `prev` ends an optimal path over `without` that extends
+    /// by the arc `prev → last` to a path of cost `target`.
+    fn is_optimal_prev(&self, without: usize, prev: usize, last: usize, target: u64) -> bool {
+        add_cost(self.at(without, prev), self.cost[prev * self.n + last]) == target
     }
 
     fn one_optimal_order(&self) -> Vec<usize> {
         if self.n == 1 {
             return vec![0];
         }
-        let full = (1usize << self.n) - 1;
         let mut last = (1..self.n)
-            .min_by_key(|&l| add_cost(self.dp[full * self.n + l], self.instance.cost(l, 0)))
+            .min_by_key(|&l| self.closing_cost(l))
             .expect("n > 1");
         let mut order = vec![last];
-        let mut mask = full;
+        let mut mask = (1usize << self.n) - 1;
         while last != 0 {
             let without = mask & !(1 << last);
-            let target = self.dp[mask * self.n + last];
-            let prev = (0..self.n)
-                .find(|&p| {
-                    p != last
-                        && (without & (1 << p)) != 0
-                        && add_cost(self.dp[without * self.n + p], self.instance.cost(p, last))
-                            == target
-                })
+            let target = self.at(mask, last);
+            let prev = bits(without)
+                .find(|&p| self.is_optimal_prev(without, p, last, target))
                 .expect("dp table is consistent");
             order.push(prev);
             mask = without;
@@ -133,51 +151,78 @@ impl<'a> DpTable<'a> {
         order
     }
 
-    /// Depth-first enumeration of every optimal tour (suffix-first), up
-    /// to `cap` results.
+    /// Every optimal tour up to `cap`, in the documented order: a
+    /// depth-first walk over one path buffer, filled from the back.
     fn all_optimal_orders(&self, cap: usize) -> Vec<Vec<usize>> {
         if self.n == 1 {
             return vec![vec![0]];
         }
-        let full = (1usize << self.n) - 1;
-        let mut results: Vec<Vec<usize>> = Vec::new();
-        // stack entries: (mask, last, suffix from last to end)
-        let mut stack: Vec<(usize, usize, Vec<usize>)> = Vec::new();
-        for last in 1..self.n {
-            let c = add_cost(self.dp[full * self.n + last], self.instance.cost(last, 0));
-            if c == self.best_cost && c < INF {
-                stack.push((full, last, vec![last]));
-            }
+        let mut results = Vec::new();
+        if self.best_cost >= INF {
+            return results; // every tour uses a forbidden arc
         }
-        while let Some((mask, last, suffix)) = stack.pop() {
+        let full = (1usize << self.n) - 1;
+        let mut path = vec![0; self.n];
+        for last in (1..self.n).rev() {
             if results.len() >= cap {
                 break;
             }
-            if last == 0 {
-                let mut order = suffix.clone();
-                order.reverse();
-                results.push(order);
-                continue;
-            }
-            let without = mask & !(1 << last);
-            let target = self.dp[mask * self.n + last];
-            for prev in 0..self.n {
-                if prev == last || (without & (1 << prev)) == 0 {
-                    continue;
-                }
-                let via = add_cost(
-                    self.dp[without * self.n + prev],
-                    self.instance.cost(prev, last),
-                );
-                if via == target {
-                    let mut next_suffix = suffix.clone();
-                    next_suffix.push(prev);
-                    stack.push((without, prev, next_suffix));
-                }
+            if self.closing_cost(last) == self.best_cost {
+                self.walk(full, last, &mut path, cap, &mut results);
             }
         }
         results
     }
+
+    /// Places `last` at the back of the unfilled part of `path` (the
+    /// path over `mask` has `popcount(mask)` nodes) and recurses into
+    /// every optimal predecessor, highest index first.
+    fn walk(
+        &self,
+        mask: usize,
+        last: usize,
+        path: &mut [usize],
+        cap: usize,
+        results: &mut Vec<Vec<usize>>,
+    ) {
+        path[mask.count_ones() as usize - 1] = last;
+        if last == 0 {
+            results.push(path.to_vec());
+            return;
+        }
+        let without = mask & !(1 << last);
+        let target = self.at(mask, last);
+        for prev in bits_descending(without) {
+            if results.len() >= cap {
+                return;
+            }
+            if self.is_optimal_prev(without, prev, last, target) {
+                self.walk(without, prev, path, cap, results);
+            }
+        }
+    }
+}
+
+/// The set bits of `mask`, lowest first.
+fn bits(mut mask: usize) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (mask != 0).then(|| {
+            let bit = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            bit
+        })
+    })
+}
+
+/// The set bits of `mask`, highest first.
+fn bits_descending(mut mask: usize) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (mask != 0).then(|| {
+            let bit = usize::BITS as usize - 1 - mask.leading_zeros() as usize;
+            mask &= !(1 << bit);
+            bit
+        })
+    })
 }
 
 #[cfg(test)]
@@ -185,22 +230,28 @@ mod tests {
     use super::*;
     use crate::brute;
 
-    fn pseudo_random_instance(n: usize, seed: u64) -> AtspInstance {
-        // xorshift-based deterministic matrix
+    /// xorshift-based deterministic matrix with weights below `modulus`.
+    fn pseudo_random_instance(n: usize, seed: u64, modulus: u64) -> AtspInstance {
         let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
         AtspInstance::from_fn(n, |_, _| {
             state ^= state << 13;
             state ^= state >> 7;
             state ^= state << 17;
-            state % 100
+            state % modulus
         })
+    }
+
+    fn sorted_orders(tours: &[Tour]) -> Vec<Vec<usize>> {
+        let mut orders: Vec<Vec<usize>> = tours.iter().map(|t| t.order.clone()).collect();
+        orders.sort();
+        orders
     }
 
     #[test]
     fn matches_brute_force_on_small_instances() {
         for n in 2..=7 {
             for seed in 0..8 {
-                let inst = pseudo_random_instance(n, seed * 31 + n as u64);
+                let inst = pseudo_random_instance(n, seed * 31 + n as u64, 100);
                 let hk = solve(&inst);
                 let bf = brute::solve(&inst);
                 assert_eq!(hk.cost, bf.cost, "n={n} seed={seed}\n{inst}");
@@ -245,15 +296,22 @@ mod tests {
         assert_eq!(all.len(), 10);
     }
 
+    /// The enumeration returns every optimal tour and nothing else.
+    /// Weights below 3 give many co-optima, weights below 100 few.
     #[test]
     fn all_optimal_agrees_with_brute_on_random() {
-        for seed in 0..6 {
-            let inst = pseudo_random_instance(6, seed + 100);
-            let bf = brute::solve(&inst);
-            let all = solve_all(&inst, 1000);
-            assert!(!all.is_empty());
-            assert!(all.iter().all(|t| t.cost == bf.cost));
-            assert!(all.contains(&bf) || all.iter().any(|t| t.cost == bf.cost));
+        for n in 2..=8 {
+            for (seed, modulus) in (0..6).flat_map(|seed| [(seed, 3), (seed, 100)]) {
+                let inst = pseudo_random_instance(n, seed + 100, modulus);
+                let all = solve_all(&inst, usize::MAX);
+                let oracle = brute::solve_all(&inst);
+                assert_eq!(
+                    sorted_orders(&all),
+                    sorted_orders(&oracle),
+                    "n={n} seed={seed} modulus={modulus}\n{inst}"
+                );
+                assert!(all.iter().all(|t| t.cost == oracle[0].cost));
+            }
         }
     }
 

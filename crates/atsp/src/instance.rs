@@ -102,6 +102,12 @@ impl AtspInstance {
         self.cost[i * self.n + j]
     }
 
+    /// The row-major cost matrix: `matrix()[i * len() + j]` is the cost
+    /// of arc `i → j`.
+    pub(crate) fn matrix(&self) -> &[u64] {
+        &self.cost
+    }
+
     /// Sets the cost of arc `i → j` (used by branch-and-bound nodes),
     /// clamped at [`INF`].
     pub fn set_cost(&mut self, i: usize, j: usize, c: u64) {

@@ -3,7 +3,7 @@
 //! harness).
 
 use marchgen_atsp::{
-    branch_bound, brute, held_karp, heuristics, hungarian, local_search, AtspInstance,
+    branch_bound, brute, held_karp, heuristics, hungarian, local_search, AtspInstance, Tour, INF,
 };
 use marchgen_testkit::{run_cases, Rng};
 
@@ -11,6 +11,66 @@ fn random_instance(rng: &mut Rng, max_n: usize) -> AtspInstance {
     let n = rng.range(2, max_n + 1);
     let costs: Vec<u64> = (0..n * n).map(|_| rng.next_u64() % 100).collect();
     AtspInstance::from_fn(n, |i, j| costs[i * n + j])
+}
+
+/// An instance shaped like the pipeline's: `n - 1` pattern nodes with
+/// arc weights 0–2 and a dummy start node whose out-arcs are an
+/// initialisation cost or forbidden and whose in-arcs are free. Many
+/// tours tie for the optimum.
+fn tpg_shaped_instance(rng: &mut Rng, max_n: usize) -> AtspInstance {
+    let n = rng.range(2, max_n + 1);
+    let dummy = n - 1;
+    let open = rng.range(0, dummy);
+    let costs: Vec<u64> = (0..n * n)
+        .map(|k| match (k / n == dummy, k % n == dummy) {
+            (true, _) if k % n != open && rng.flip() => INF,
+            (false, true) => 0,
+            _ => rng.range(0, 3) as u64,
+        })
+        .collect();
+    AtspInstance::from_fn(n, |i, j| costs[i * n + j])
+}
+
+fn sorted_orders(tours: &[Tour]) -> Vec<Vec<usize>> {
+    let mut orders: Vec<Vec<usize>> = tours.iter().map(|t| t.order.clone()).collect();
+    orders.sort();
+    orders
+}
+
+/// The all-optimal enumeration returns exactly the brute-force
+/// oracle's set of optimal tours, on TPG-shaped instances (forbidden
+/// dummy arcs, many co-optima) and on random ones.
+#[test]
+fn held_karp_enumerates_exactly_the_optimal_tours() {
+    run_cases(
+        "held_karp_enumerates_exactly_the_optimal_tours",
+        64,
+        |rng| {
+            let inst = if rng.flip() {
+                tpg_shaped_instance(rng, 8)
+            } else {
+                random_instance(rng, 8)
+            };
+            let all = held_karp::solve_all(&inst, usize::MAX);
+            assert_eq!(
+                sorted_orders(&all),
+                sorted_orders(&brute::solve_all(&inst)),
+                "{inst}"
+            );
+        },
+    );
+}
+
+/// A capped enumeration is a prefix of the uncapped one.
+#[test]
+fn capped_enumeration_is_a_prefix() {
+    run_cases("capped_enumeration_is_a_prefix", 64, |rng| {
+        let inst = tpg_shaped_instance(rng, 8);
+        let all = held_karp::solve_all(&inst, usize::MAX);
+        let cap = rng.range(1, all.len() + 2);
+        let capped = held_karp::solve_all(&inst, cap);
+        assert_eq!(capped[..], all[..cap.min(all.len())], "cap {cap}\n{inst}");
+    });
 }
 
 /// Held–Karp equals brute force on small instances.

@@ -12,22 +12,24 @@
 //! pinned to one word (W = 1) and at its auto-chosen width, and a
 //! **solver phase**: every registered ATSP backend over deterministic
 //! instances and pipeline workloads, with per-solver tour-cost and
-//! latency columns. Written as a JSON record (the benchmark trajectory,
-//! `BENCH_pr10.json`; the W = 1 column keeps the `bitsim_*` keys of the
-//! 64-lane engine it replaced, so records stay comparable). The process
+//! latency columns (plus the all-optimal enumeration's latency and tour
+//! count at n = 12, the call the pipeline makes). Written as a JSON
+//! record (the benchmark trajectory, `BENCH_pr10.json`; the W = 1
+//! column keeps the `bitsim_*` keys of the 64-lane engine it replaced,
+//! so records stay comparable). The process
 //! exits non-zero if the W = 1 sweep is slower than twice the scalar
 //! time on any pair-fault workload (2x noise margin over the ~10x
 //! measured advantage), if the auto-width sweep is slower than 1.5x the
 //! W = 1 time on any pair-fault workload (noise margin over the
 //! measured multi-block win), if the sweeps ever disagree on a coverage
-//! report, or if the local-search solver misses the exact optimum on an
-//! exact-range instance.
+//! report, or if the local-search solver misses the exact optimum on
+//! the random exact-range instance.
 //!
 //! ```sh
 //! cargo run --release -p marchgen-bench --bin repro -- --perf-json BENCH_pr10.json
 //! ```
 
-use marchgen_bench::{random_atsp, row_models, section4_tps, TABLE3};
+use marchgen_bench::{random_atsp, row_models, section4_tps, tpg_shaped_atsp, TABLE3};
 use marchgen_faults::{bfe, catalog, parse_fault_list, FaultModel, TransitionDir};
 use marchgen_generator::{
     baseline, generate, gts::Gts, schedule_tour, GenerateRequest, Generator, VerifierChoice,
@@ -128,18 +130,27 @@ fn verify_case(label: &str, faults: &str, cells: usize, test: &MarchTest) -> (Js
 }
 
 /// The ATSP solver sweep: every registered backend over deterministic
-/// instances spanning the exact range (n = 12), the branch-and-bound
-/// range (n = 30) and the local-search range (n = 48). Emits
-/// per-solver tour-cost and latency columns; fails when the local
-/// search misses the exact optimum inside the exact range, or any
-/// backend returns an invalid tour.
+/// instances spanning the exact range (n = 12, random and TPG-shaped),
+/// the branch-and-bound range (n = 30) and the local-search range
+/// (n = 48). Emits per-solver tour-cost and latency columns; at n = 12
+/// the backends that enumerate co-optimal tours (`auto`, `held-karp`)
+/// also time `solve_all_optimal` at the pipeline's default tour cap,
+/// the call the pipeline makes. Fails when the local search misses the
+/// exact optimum inside the exact range, or any backend returns an
+/// invalid tour.
 fn solver_sweep(rows: &mut Vec<Json>) -> bool {
     use marchgen_atsp::SolverRegistry;
     let mut ok = true;
     let registry = SolverRegistry::default();
+    let tour_cap = GenerateRequest::new(Vec::new()).tour_cap;
     println!("== perf smoke: ATSP solver sweep (cost | latency) ============");
-    for (n, seed) in [(12usize, 7u64), (30, 11), (48, 23)] {
-        let inst = random_atsp(n, seed);
+    let instances = [
+        ("random", 12usize, 7u64, random_atsp(12, 7)),
+        ("tpg", 12, 7, tpg_shaped_atsp(12, 7)),
+        ("random", 30, 11, random_atsp(30, 11)),
+        ("random", 48, 23, random_atsp(48, 23)),
+    ];
+    for (shape, n, seed, inst) in instances {
         // Exact reference where an exact backend is in range (the same
         // thresholds the auto policy dispatches on).
         let exact_cost = (n <= marchgen_atsp::EXACT_THRESHOLD).then(|| {
@@ -157,25 +168,48 @@ fn solver_sweep(rows: &mut Vec<Json>) -> bool {
             let micros = best_micros(3, || {
                 let _ = solver.solve(&inst);
             });
+            // (solve_all µs, tours) where the backend enumerates.
+            let all_optimal = (n == 12 && matches!(name, "auto" | "held-karp")).then(|| {
+                let tours = solver.solve_all_optimal(&inst, tour_cap).len();
+                let micros = best_micros(3, || {
+                    let _ = solver.solve_all_optimal(&inst, tour_cap);
+                });
+                (micros, tours)
+            });
             let exact_hit = exact_cost.map(|opt| tour.cost == opt);
             if let (true, Some(opt)) = (
-                name == "local-search" && n <= marchgen_atsp::held_karp::MAX_NODES,
+                name == "local-search"
+                    && shape == "random"
+                    && n <= marchgen_atsp::held_karp::MAX_NODES,
                 exact_cost,
             ) {
                 // The acceptance gate: inside the exact range the local
-                // search must land on the optimum.
+                // search must land on the optimum (the TPG-shaped row is
+                // a timing record only).
                 ok &= tour.cost == opt;
             }
+            let all_optimal_text = all_optimal
+                .map(|(micros, tours)| format!(" | all {micros:>8} µs, {tours} tours"))
+                .unwrap_or_default();
             println!(
-                "  n={n:<3} {name:<13} cost {:>6} | {micros:>8} µs | exact_hit={:?}",
+                "  n={n:<3} {shape:<6} {name:<13} cost {:>6} | {micros:>8} µs | exact_hit={:?}{all_optimal_text}",
                 tour.cost, exact_hit
             );
             rows.push(Json::object([
                 ("n", Json::from(n)),
                 ("seed", Json::from(seed)),
+                ("shape", Json::from(shape)),
                 ("solver", Json::from(name)),
                 ("tour_cost", Json::from(tour.cost)),
                 ("solve_micros", Json::from(micros)),
+                (
+                    "solve_all_micros",
+                    all_optimal.map_or(Json::Null, |(micros, _)| Json::from(micros)),
+                ),
+                (
+                    "tours",
+                    all_optimal.map_or(Json::Null, |(_, tours)| Json::from(tours)),
+                ),
                 (
                     "exact_optimum",
                     exact_cost.map(Json::from).unwrap_or(Json::Null),

@@ -114,7 +114,10 @@ pub fn random_atsp(n: usize, seed: u64) -> AtspInstance {
 /// Panics if `n < 2`.
 #[must_use]
 pub fn tpg_shaped_atsp(n: usize, seed: u64) -> AtspInstance {
-    assert!(n >= 2, "a TPG-shaped instance needs a pattern and the dummy");
+    assert!(
+        n >= 2,
+        "a TPG-shaped instance needs a pattern and the dummy"
+    );
     let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
     let mut next = move || {
         state ^= state << 13;

@@ -43,7 +43,7 @@ pub mod schedule;
 #[cfg(feature = "serde")]
 pub mod serde;
 
-pub use outcome::{Diagnostics, GenerateOutcome};
+pub use outcome::{Diagnostics, GenerateOutcome, RunLengths};
 pub use pipeline::{
     generate, generate_with, generate_with_registry, verifier_for, ClassCombinations,
     GenerateError, Generator, Outcome,

@@ -56,11 +56,16 @@ pub struct Diagnostics {
     pub unique_tp_sets: usize,
     /// Optimal tours returned by the solver across all combinations.
     pub tours_tried: usize,
-    /// Distinct March candidates successfully scheduled from tours.
+    /// March candidates successfully scheduled from tours, counted
+    /// before deduplication (the same test built from two tours counts
+    /// twice).
     pub candidates: usize,
-    /// Complexities of the deduplicated candidates, ascending — the
-    /// shape of the search frontier the verifier walked.
-    pub candidate_complexities: Vec<usize>,
+    /// Complexities of the candidates in the order the verifier walks
+    /// them: sorted ascending by complexity, then element count, with a
+    /// candidate dropped when it equals its neighbour in that order
+    /// (equal tests that do not end up adjacent are both kept). Stored
+    /// run-length encoded; it serialises as a plain array.
+    pub candidate_complexities: RunLengths,
     /// Time expanding the fault list into coverage requirements, µs.
     pub expand_micros: u64,
     /// Time enumerating combinations, solving tours and scheduling
@@ -68,10 +73,11 @@ pub struct Diagnostics {
     pub search_micros: u64,
     /// Time spent in the verifier (coverage, compaction, redundancy), µs.
     pub verify_micros: u64,
-    /// Per-shard solve times, µs: one entry per unique TP set (the unit
-    /// of parallel work the sharded search distributes across its
-    /// workers), in deterministic first-seen order. The *length* is
-    /// independent of the thread count; only the values vary run to run.
+    /// Per-shard search times, µs: one entry per unique TP set, covering
+    /// its solve plus the scheduling of its tours (the unit of parallel
+    /// work the sharded search distributes across its workers), in
+    /// deterministic first-seen order. The *length* is independent of
+    /// the thread count; only the values vary run to run.
     pub shard_micros: Vec<u64>,
     /// The verification backend the run resolved its
     /// [`VerifierChoice`](crate::VerifierChoice) to (the trait name:
@@ -98,10 +104,79 @@ pub struct Diagnostics {
     pub cache_hit: bool,
 }
 
+/// A sequence of `usize` stored run-length encoded, for the long,
+/// sorted, few-valued sequences the diagnostics carry: thousands of
+/// candidate complexities take a handful of runs. Build one with
+/// `.collect()`; equality is equality of the expanded sequences.
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
+pub struct RunLengths {
+    /// `(value, count)` pairs; neighbours differ in value and every
+    /// count is non-zero, so equal sequences have equal runs.
+    runs: Vec<(usize, usize)>,
+}
+
+impl RunLengths {
+    /// Number of values in the expanded sequence.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.runs.iter().map(|&(_, count)| count).sum()
+    }
+
+    /// `true` when the sequence has no values.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.runs.is_empty()
+    }
+
+    /// The expanded sequence, in order.
+    pub fn iter(&self) -> impl Iterator<Item = usize> + '_ {
+        self.runs
+            .iter()
+            .flat_map(|&(value, count)| std::iter::repeat_n(value, count))
+    }
+}
+
+impl FromIterator<usize> for RunLengths {
+    fn from_iter<I: IntoIterator<Item = usize>>(values: I) -> RunLengths {
+        let mut runs: Vec<(usize, usize)> = Vec::new();
+        for value in values {
+            match runs.last_mut() {
+                Some((last, count)) if *last == value => *count += 1,
+                _ => runs.push((value, 1)),
+            }
+        }
+        RunLengths { runs }
+    }
+}
+
 impl Diagnostics {
     /// Total accounted time across all phases, µs.
     #[must_use]
     pub fn total_micros(&self) -> u64 {
         self.expand_micros + self.search_micros + self.verify_micros
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::RunLengths;
+
+    #[test]
+    fn run_lengths_agree_with_the_expanded_vec() {
+        let cases: [&[usize]; 5] = [&[], &[4], &[6, 6, 6, 7, 7, 9], &[9, 4, 9, 9, 4], &[0; 1000]];
+        for values in cases {
+            let runs: RunLengths = values.iter().copied().collect();
+            assert_eq!(runs.len(), values.len());
+            assert_eq!(runs.is_empty(), values.is_empty());
+            assert_eq!(runs.iter().collect::<Vec<_>>(), values);
+            for other in cases {
+                let other_runs: RunLengths = other.iter().copied().collect();
+                assert_eq!(
+                    runs == other_runs,
+                    values == other,
+                    "{values:?} vs {other:?}"
+                );
+            }
+        }
     }
 }

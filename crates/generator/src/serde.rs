@@ -11,7 +11,7 @@
 //! * Test Patterns, coverage reports and fault sites serialize
 //!   structurally, so outcomes survive a round-trip bit-for-bit.
 
-use crate::outcome::{Diagnostics, GenerateOutcome};
+use crate::outcome::{Diagnostics, GenerateOutcome, RunLengths};
 use crate::request::{GenerateRequest, VerifierChoice};
 use marchgen_atsp::SolverChoice;
 use marchgen_faults::{parse_fault_list, FaultModel, Observation, TestPattern, TpKind};
@@ -427,7 +427,7 @@ impl ToJson for Diagnostics {
             ("candidates", Json::from(self.candidates)),
             (
                 "candidate_complexities",
-                Json::array(self.candidate_complexities.iter().map(|&c| Json::from(c))),
+                Json::array(self.candidate_complexities.iter().map(Json::from)),
             ),
             ("expand_micros", Json::from(self.expand_micros)),
             ("search_micros", Json::from(self.search_micros)),
@@ -456,7 +456,7 @@ impl FromJson for Diagnostics {
                 v.as_usize()
                     .ok_or_else(|| JsonError::decode("complexities must be non-negative integers"))
             })
-            .collect::<Result<Vec<_>, _>>()?;
+            .collect::<Result<RunLengths, _>>()?;
         // Optional and backward compatible: documents predating the
         // sharded search omit the per-shard timings.
         let shard_micros = match json.get("shard_micros") {
@@ -688,6 +688,32 @@ mod tests {
         assert!(d.verify_shard_micros.is_empty());
     }
 
+    /// Run-length encoded complexities serialise as the plain array they
+    /// stand for and decode back to an equal value: empty, unsorted and
+    /// repeated sequences alike.
+    #[test]
+    fn candidate_complexities_roundtrip_as_plain_arrays() {
+        let cases: [&[usize]; 4] = [&[], &[9, 4, 7], &[5, 5, 5, 6, 6, 5], &[8; 64]];
+        for values in cases {
+            let d = Diagnostics {
+                candidate_complexities: values.iter().copied().collect(),
+                ..Diagnostics::default()
+            };
+            let json = d.to_json();
+            let array: Vec<usize> = json
+                .get("candidate_complexities")
+                .and_then(Json::as_array)
+                .expect("an array")
+                .iter()
+                .map(|v| v.as_usize().expect("an integer"))
+                .collect();
+            assert_eq!(array, values);
+            let back = Diagnostics::from_json_str(&d.to_json_string()).unwrap();
+            assert_eq!(back, d);
+            assert_eq!(back.candidate_complexities.len(), values.len());
+        }
+    }
+
     /// The sharded-verifier diagnostics survive a round trip, and the
     /// new keys decode what the encoder writes.
     #[test]
@@ -700,7 +726,7 @@ mod tests {
             unique_tp_sets: 1,
             tours_tried: 1,
             candidates: 1,
-            candidate_complexities: vec![4],
+            candidate_complexities: [4].into_iter().collect(),
             ..Diagnostics::default()
         };
         let back = Diagnostics::from_json_str(&d.to_json_string()).unwrap();

@@ -354,9 +354,10 @@ impl Metrics {
 }
 
 /// Splits `search_micros` into its solver and scheduling shares.
-/// `shard_micros` are per-TP-set solve times that may overlap in wall
-/// time (shards run in parallel), so the solve share is clamped to the
-/// measured search wall time; the remainder is enumeration+scheduling.
+/// `shard_micros` are per-TP-set times (the solve plus the scheduling
+/// of its tours) that may overlap in wall time (shards run in
+/// parallel), so the solve share is clamped to the measured search wall
+/// time; the remainder is enumeration, sorting and deduplication.
 fn solve_schedule_split(diagnostics: &Diagnostics) -> (u64, u64) {
     let solve = diagnostics
         .shard_micros

@@ -78,7 +78,8 @@ fn random_outcome(rng: &mut Rng) -> GenerateOutcome {
             unique_tp_sets: rng.range(1, 500),
             tours_tried: rng.range(1, 500),
             candidates: rng.range(1, 100),
-            candidate_complexities: rng.vec(0, 8, |rng| rng.range(4, 30)),
+            // Unsorted on purpose: the run-length encoding keeps any order.
+            candidate_complexities: rng.vec(0, 8, |rng| rng.range(4, 30)).into_iter().collect(),
             expand_micros: rng.next_u64() % 1_000_000,
             search_micros: rng.next_u64() % 1_000_000,
             verify_micros: rng.next_u64() % 1_000_000,

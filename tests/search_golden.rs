@@ -13,10 +13,11 @@
 //! An intentional change regenerates the fixture with
 //!
 //! ```sh
-//! UPDATE_GOLDENS=1 cargo test --release --test search_golden
+//! UPDATE_GOLDENS=1 cargo test --release --test search_golden -- --test-threads 1
 //! ```
 //!
-//! which re-solves the instance seeds and fault lists the fixture names.
+//! which re-solves the instance seeds and fault lists the fixture names
+//! (one test thread: both tests rewrite the same file).
 
 use marchgen::atsp::{held_karp, AtspInstance, INF};
 use marchgen::json::{Json, ToJson};
@@ -97,7 +98,9 @@ fn untimed(json: &Json) -> Json {
                 .iter()
                 .filter(|(key, _)| !key.ends_with("_micros"))
                 .map(|(key, value)| match key.as_str() {
-                    "candidate_complexities" => ("candidate_complexity_runs".to_owned(), runs(value)),
+                    "candidate_complexities" => {
+                        ("candidate_complexity_runs".to_owned(), runs(value))
+                    }
                     _ => (key.clone(), untimed(value)),
                 }),
         ),
@@ -174,7 +177,10 @@ fn held_karp_tour_orders_match_the_fixture() {
     if updating() {
         write_fixture(&updated, entries(&fixture, "outcomes"));
     } else {
-        assert!(mismatches.is_empty(), "tour orders differ on {mismatches:?}");
+        assert!(
+            mismatches.is_empty(),
+            "tour orders differ on {mismatches:?}"
+        );
     }
 }
 
